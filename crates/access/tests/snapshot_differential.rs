@@ -6,6 +6,7 @@
 use bgpq_access::{
     discover_schema, read_snapshot, write_snapshot, AccessIndexSet, DiscoveryConfig, SnapshotBundle,
 };
+use bgpq_graph::io::snapshot::{write_graph_snapshot, Section, SnapshotArchive, SnapshotWriter};
 use bgpq_graph::{Graph, GraphBuilder, NodeId, Value};
 use std::io::Cursor;
 
@@ -190,4 +191,38 @@ fn empty_schema_round_trips() {
     let bundle = round_trip(&graph, &fresh);
     assert_eq!(bundle.schema.len(), 0);
     assert_index_sets_identical(&fresh, &bundle.indices);
+}
+
+/// Older snapshots carry an extra section with the retired id 9. Reading one
+/// must skip it and yield the same graph, schema and indices as the same
+/// snapshot without it.
+#[test]
+fn retired_section_nine_is_skipped_on_read() {
+    let graph = fixture();
+    let schema = discover_schema(&graph, &DiscoveryConfig::default());
+    let indices = AccessIndexSet::build(&graph, &schema);
+    let mut plain = Vec::new();
+    write_snapshot(&graph, &indices, &mut plain).unwrap();
+
+    let archive = SnapshotArchive::from_bytes(plain.clone()).unwrap();
+    let mut writer = SnapshotWriter::new();
+    for (section, _) in archive.sections() {
+        writer.add_section(section, archive.section(section).unwrap().to_vec());
+    }
+    writer.add_section(Section::from_id(9), b"retired section payload".to_vec());
+    let mut legacy = Vec::new();
+    writer.write_to(&mut legacy).unwrap();
+    let legacy_archive = SnapshotArchive::from_bytes(legacy.clone()).unwrap();
+    assert!(legacy_archive.section(Section::from_id(9)).is_some());
+
+    let expected = read_snapshot(Cursor::new(plain)).unwrap();
+    let loaded = read_snapshot(Cursor::new(legacy)).unwrap();
+    let graph_bytes = |g: &Graph| {
+        let mut buf = Vec::new();
+        write_graph_snapshot(g, &mut buf).unwrap();
+        buf
+    };
+    assert_eq!(graph_bytes(&loaded.graph), graph_bytes(&expected.graph));
+    assert_eq!(loaded.schema, expected.schema);
+    assert_index_sets_identical(&expected.indices, &loaded.indices);
 }

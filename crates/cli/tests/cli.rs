@@ -203,6 +203,17 @@ fn bad_invocations_fail_cleanly() {
     assert!(String::from_utf8_lossy(&output.stderr).contains("unknown scenario"));
     let output = bgpq(&["frobnicate"]);
     assert!(!output.status.success());
+    // A removed flag must fail loudly, not be silently ignored.
+    let output = bgpq(&[
+        "query",
+        "data/social.tsv",
+        "--pattern",
+        "data/queries/social.pat",
+        "--partitions",
+        "2",
+    ]);
+    assert!(!output.status.success());
+    assert!(String::from_utf8_lossy(&output.stderr).contains("unknown flag"));
     let help = stdout_of(&["help"]);
     assert!(help.contains("USAGE"));
 }

@@ -13,13 +13,9 @@ use bgpq_core::{
     bounded_simulation_match_prefetched, bounded_subgraph_match_prefetched, fetch_candidate_sets,
     plan_for_indices, FetchStats, LookupMemo, PlanError, QueryPlan, Semantics,
 };
-use bgpq_graph::{ArenaPool, ScratchArena};
-use bgpq_shard::{
-    parallel_bounded_simulation_match_prefetched, parallel_bounded_subgraph_match_prefetched,
-    sharded_fetch_candidate_sets, ShardConfig, ShardRuntime,
-};
+use bgpq_graph::ScratchArena;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// The version of a standalone engine's (only) snapshot.
@@ -106,17 +102,8 @@ pub struct Engine {
     fragments: SharedFragmentCache,
     /// Pool of fragment-construction arenas, one checked out per in-flight
     /// bounded execution; buffers are reused across queries so steady-state
-    /// fragment builds allocate nothing. Worker-aware: parallel sharded
-    /// executions pin each worker thread to its own slot, anonymous callers
-    /// take any free slot, and two concurrent executions can never alias an
-    /// arena.
-    scratch: ArenaPool,
-    /// Partitioned-execution state, when the engine was built with
-    /// [`Engine::with_sharding`] (or handed a runtime directly). `None`
-    /// keeps every request on the serial single-shard path; `Some` routes
-    /// eligible bounded executions through the parallel sharded fetch and
-    /// matchers, which return answers identical to the serial path.
-    shard: Option<Arc<ShardRuntime>>,
+    /// fragment builds allocate nothing.
+    scratch: Mutex<Vec<ScratchArena>>,
     queries: AtomicU64,
     bounded_runs: AtomicU64,
     fallbacks: AtomicU64,
@@ -185,8 +172,7 @@ impl Engine {
             strategies: vec![Box::new(Bounded), Box::new(IndexSeeded), Box::new(Baseline)],
             cache,
             fragments,
-            scratch: ArenaPool::new(std::thread::available_parallelism().map_or(1, |n| n.get())),
-            shard: None,
+            scratch: Mutex::new(Vec::new()),
             queries: AtomicU64::new(0),
             bounded_runs: AtomicU64::new(0),
             fallbacks: AtomicU64::new(0),
@@ -222,32 +208,6 @@ impl Engine {
         }
     }
 
-    /// Turns on partitioned execution: partitions the engine's graph and
-    /// builds per-shard indices under `config`, then routes eligible bounded
-    /// executions through the parallel sharded path. Answers are identical
-    /// to the serial engine for every `(partitions, threads)` combination;
-    /// budgeted requests (match/step limits) keep taking the serial path.
-    pub fn with_sharding(self, config: ShardConfig) -> Self {
-        let runtime = ShardRuntime::build(&self.graph, self.indices.schema(), config);
-        self.with_shard_runtime(Arc::new(runtime))
-    }
-
-    /// Attaches an already-built [`ShardRuntime`] (the snapshot-load and
-    /// serving-commit paths, where the runtime is maintained incrementally
-    /// instead of rebuilt). The runtime's indices must have been built or
-    /// maintained against this engine's graph and schema.
-    pub fn with_shard_runtime(self, runtime: Arc<ShardRuntime>) -> Self {
-        Engine {
-            shard: Some(runtime),
-            ..self
-        }
-    }
-
-    /// The partitioned-execution runtime, when sharding is enabled.
-    pub fn shard_runtime(&self) -> Option<&ShardRuntime> {
-        self.shard.as_deref()
-    }
-
     /// The snapshot version this engine serves
     /// ([`INITIAL_SNAPSHOT_VERSION`] for standalone engines).
     pub fn version(&self) -> u64 {
@@ -264,20 +224,24 @@ impl Engine {
         &self.indices
     }
 
-    /// Runs `f` with a [`ScratchArena`] checked out of the engine's
-    /// worker-aware [`ArenaPool`]. Concurrent bounded executions each get
-    /// their own arena — a busy slot is skipped, never shared — so two
-    /// in-flight fragment builds can never alias one arena.
+    /// Runs `f` with a [`ScratchArena`] checked out of the engine's pool
+    /// (creating one when the pool is empty, e.g. the first query or under
+    /// concurrency) and returns the arena afterwards. Concurrent bounded
+    /// executions each get their own arena — the pool only serializes the
+    /// checkout, never the fragment build.
     pub(crate) fn with_scratch<R>(&self, f: impl FnOnce(&mut ScratchArena) -> R) -> R {
-        self.scratch.with_any(f)
-    }
-
-    /// The engine's worker-aware scratch-arena pool. Parallel execution
-    /// paths pin worker `i` to slot `i` via
-    /// [`ArenaPool::with_worker`]; single-shard paths go through
-    /// [`ArenaPool::with_any`].
-    pub fn arena_pool(&self) -> &ArenaPool {
-        &self.scratch
+        let mut arena = self
+            .scratch
+            .lock()
+            .expect("scratch pool poisoned")
+            .pop()
+            .unwrap_or_default();
+        let result = f(&mut arena);
+        self.scratch
+            .lock()
+            .expect("scratch pool poisoned")
+            .push(arena);
+        result
     }
 
     /// Executes one request: plan (cached) → select strategy → run.
@@ -402,37 +366,14 @@ impl Engine {
                 // Fetch outside the cache lock; racing misses both fetch and
                 // the second insert harmlessly replaces the first (fetching
                 // is deterministic per snapshot).
-                let fetched = match memo {
-                    // Batch fetches keep the serial path: the shared memo is
-                    // the batch's cross-query dedup state and must observe
-                    // every lookup in order.
-                    Some(memo) => fetch_candidate_sets(
-                        plan,
-                        request.pattern(),
-                        &self.graph,
-                        &self.indices,
-                        memo,
-                    ),
-                    None => match self.shard.as_deref() {
-                        Some(rt) => sharded_fetch_candidate_sets(
-                            plan,
-                            request.pattern(),
-                            &self.graph,
-                            rt.indices(),
-                            rt.threads(),
-                        ),
-                        None => {
-                            let mut own = LookupMemo::new();
-                            fetch_candidate_sets(
-                                plan,
-                                request.pattern(),
-                                &self.graph,
-                                &self.indices,
-                                &mut own,
-                            )
-                        }
-                    },
-                };
+                let mut own = LookupMemo::new();
+                let fetched = fetch_candidate_sets(
+                    plan,
+                    request.pattern(),
+                    &self.graph,
+                    &self.indices,
+                    memo.unwrap_or(&mut own),
+                );
                 let entry: FragmentEntry = Arc::new(fetched);
                 if enabled {
                     self.fragments
@@ -449,25 +390,15 @@ impl Engine {
 
         match request.semantics() {
             Semantics::Isomorphism => {
-                let (matches, mut fetch, stats) = match self.shard.as_deref() {
-                    Some(rt) => parallel_bounded_subgraph_match_prefetched(
+                let (matches, mut fetch, stats) = self.with_scratch(|scratch| {
+                    bounded_subgraph_match_prefetched(
                         request.pattern(),
                         &self.graph,
                         &entry,
                         vf2_config(request),
-                        rt.pool(),
-                        rt.threads(),
-                    ),
-                    None => self.with_scratch(|scratch| {
-                        bounded_subgraph_match_prefetched(
-                            request.pattern(),
-                            &self.graph,
-                            &entry,
-                            vf2_config(request),
-                            scratch,
-                        )
-                    }),
-                };
+                        scratch,
+                    )
+                });
                 if fragment_cache == CacheOutcome::Hit {
                     subtract_cached_baseline(&mut fetch, &entry.stats);
                 }
@@ -481,22 +412,14 @@ impl Engine {
                 }
             }
             Semantics::Simulation => {
-                let (relation, mut fetch) = match self.shard.as_deref() {
-                    Some(rt) => parallel_bounded_simulation_match_prefetched(
+                let (relation, mut fetch) = self.with_scratch(|scratch| {
+                    bounded_simulation_match_prefetched(
                         request.pattern(),
                         &self.graph,
                         &entry,
-                        rt.pool(),
-                    ),
-                    None => self.with_scratch(|scratch| {
-                        bounded_simulation_match_prefetched(
-                            request.pattern(),
-                            &self.graph,
-                            &entry,
-                            scratch,
-                        )
-                    }),
-                };
+                        scratch,
+                    )
+                });
                 if fragment_cache == CacheOutcome::Hit {
                     subtract_cached_baseline(&mut fetch, &entry.stats);
                 }

@@ -617,48 +617,38 @@ fn engine_equivalence_on_generated_workloads() {
     assert_eq!(engine.stats().queries, 20);
 }
 
-/// Satellite of the sharding work: the engine's scratch pool is worker-aware
-/// and two concurrent bounded executions can never alias an arena. Every
-/// dedicated slot is held hostage by a worker thread for the whole duration
-/// of four concurrent bounded executions — `with_any` must hand each
-/// execution a distinct overflow arena (never block behind a busy slot,
-/// never share one), and every answer must equal the serial run.
+/// Concurrent bounded executions each check their own scratch arena out of
+/// the engine's pool. An arena shared by two in-flight fragment builds would
+/// corrupt at least one of them, so every concurrent answer must equal the
+/// serial answer for the same request.
 #[test]
 fn concurrent_bounded_executions_never_alias_an_arena() {
     let engine = engine();
-    let q = movie_pattern(engine.graph(), 2011);
-    let serial = engine
-        .execute(&QueryRequest::build(q.clone()).finish())
-        .unwrap();
-    assert_eq!(serial.strategy, StrategyKind::Bounded);
-    assert!(!serial.answer.is_empty());
+    let requests: Vec<QueryRequest> = [2010, 2011, 2012, 2013]
+        .map(|year| QueryRequest::build(movie_pattern(engine.graph(), year)).finish())
+        .into();
+    let serial: Vec<_> = requests
+        .iter()
+        .map(|request| engine.execute(request).unwrap())
+        .collect();
+    for response in &serial {
+        assert_eq!(response.strategy, StrategyKind::Bounded);
+        assert!(!response.answer.is_empty());
+    }
 
-    let pool = engine.arena_pool();
-    let workers = pool.workers();
-    let queries = 4;
-    let barrier = std::sync::Barrier::new(workers + queries);
+    let threads = 4;
+    let barrier = std::sync::Barrier::new(threads);
     std::thread::scope(|s| {
-        for w in 0..workers {
-            let barrier = &barrier;
-            s.spawn(move || {
-                pool.with_worker(w, |_| {
-                    // Hold the slot across both barriers: busy for the
-                    // entire window in which the queries execute.
-                    barrier.wait();
-                    barrier.wait();
-                });
-            });
-        }
-        for _ in 0..queries {
-            let (engine, q, serial, barrier) = (&engine, &q, &serial, &barrier);
+        for t in 0..threads {
+            let (engine, requests, serial, barrier) = (&engine, &requests, &serial, &barrier);
             s.spawn(move || {
                 barrier.wait();
-                let r = engine
-                    .execute(&QueryRequest::build(q.clone()).finish())
-                    .unwrap();
-                assert_eq!(r.strategy, StrategyKind::Bounded);
-                assert_eq!(r.answer, serial.answer);
-                barrier.wait();
+                for round in 0..200 {
+                    let i = (t + round) % requests.len();
+                    let r = engine.execute(&requests[i]).unwrap();
+                    assert_eq!(r.strategy, StrategyKind::Bounded);
+                    assert_eq!(r.answer, serial[i].answer, "thread {t}, round {round}");
+                }
             });
         }
     });

@@ -137,13 +137,6 @@ impl Graph {
         &self.interner
     }
 
-    /// The graph's label → sorted-node-bucket index. Read-only: mutation
-    /// goes through the graph's own insert/delete operations, which keep
-    /// the index consistent.
-    pub fn label_index(&self) -> &LabelIndex {
-        &self.label_index
-    }
-
     /// Returns all node ids.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.labels.len() as u32).map(NodeId)

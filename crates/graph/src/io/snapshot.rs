@@ -91,9 +91,6 @@ pub enum Section {
     Schema,
     /// Serialized access indices (written by `bgpq-access`).
     Indices,
-    /// Partition spec + per-shard index blobs (written by `bgpq-shard`).
-    /// Optional: readers without sharding support skip it.
-    Shards,
     /// A section id this build does not know (skipped when reading).
     Unknown(u32),
 }
@@ -111,12 +108,12 @@ impl Section {
             Section::LabelIndex => 6,
             Section::Schema => 7,
             Section::Indices => 8,
-            Section::Shards => 9,
             Section::Unknown(id) => id,
         }
     }
 
     /// Maps an on-disk id back to a section.
+    // Id 9 is retired (it held per-shard index blobs); never reuse it, older files still carry it.
     pub fn from_id(id: u32) -> Section {
         match id {
             1 => Section::Strings,
@@ -127,7 +124,6 @@ impl Section {
             6 => Section::LabelIndex,
             7 => Section::Schema,
             8 => Section::Indices,
-            9 => Section::Shards,
             other => Section::Unknown(other),
         }
     }
@@ -145,7 +141,6 @@ impl Section {
             Section::LabelIndex => "label-index".into(),
             Section::Schema => "schema".into(),
             Section::Indices => "indices".into(),
-            Section::Shards => "shards".into(),
             Section::Unknown(id) => format!("unknown section #{id}"),
         }
     }

@@ -43,7 +43,6 @@ pub mod graph;
 pub mod io;
 pub mod label;
 pub mod label_index;
-pub mod pool;
 pub mod stats;
 pub mod subgraph;
 pub mod value;
@@ -56,7 +55,6 @@ pub use graph::{EdgeId, Graph, NodeId};
 pub use io::snapshot::SnapshotError;
 pub use label::{Label, LabelInterner};
 pub use label_index::LabelIndex;
-pub use pool::ArenaPool;
 pub use stats::GraphStats;
 pub use subgraph::Subgraph;
 pub use value::Value;

@@ -211,11 +211,15 @@ fn file_level_save_and_load_round_trip() {
 #[test]
 fn unknown_sections_are_tolerated() {
     let g = sample_graph();
-    let mut writer = SnapshotWriter::new();
-    encode_graph(&g, &mut writer);
-    writer.add_section(Section::from_id(0xBEEF), b"future payload".to_vec());
-    let mut buf = Vec::new();
-    writer.write_to(&mut buf).unwrap();
-    let loaded = read_graph_snapshot(Cursor::new(buf)).unwrap();
-    assert_identical(&g, &loaded);
+    // A section from a newer writer, and the retired id 9 that older files
+    // still carry.
+    for id in [0xBEEF, 9] {
+        let mut writer = SnapshotWriter::new();
+        encode_graph(&g, &mut writer);
+        writer.add_section(Section::from_id(id), b"opaque payload".to_vec());
+        let mut buf = Vec::new();
+        writer.write_to(&mut buf).unwrap();
+        let loaded = read_graph_snapshot(Cursor::new(buf)).unwrap();
+        assert_identical(&g, &loaded);
+    }
 }

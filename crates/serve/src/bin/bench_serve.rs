@@ -16,7 +16,7 @@
 //! cargo run --release -p bgpq-serve --bin bench_serve -- --smoke # CI smoke
 //! ```
 
-use bgpq_engine::{AccessConstraint, AccessSchema, QueryRequest, ShardConfig, StrategyKind};
+use bgpq_engine::{AccessConstraint, AccessSchema, QueryRequest, StrategyKind};
 use bgpq_graph::{Graph, GraphBuilder, NodeId, Value};
 use bgpq_pattern::{Pattern, PatternBuilder, Predicate};
 use bgpq_serve::{Server, Update};
@@ -41,15 +41,6 @@ struct BenchConfig {
     /// Exit non-zero when the best multi-thread qps falls below
     /// `min_scaling ×` the single-thread qps.
     min_scaling: Option<f64>,
-    /// Shard count for partitioned execution inside each tier's server
-    /// (0 = unsharded).
-    partitions: usize,
-    /// Worker threads of the shard runtime (0 = same as `partitions`).
-    shard_threads: usize,
-    /// Exit non-zero when the best multi-thread scaling factor *per
-    /// effective reader* (`factor / min(threads, cores)`) falls below this
-    /// — the per-core throughput gate a 1-core CI runner can enforce.
-    min_scaling_per_core: Option<f64>,
 }
 
 impl BenchConfig {
@@ -64,9 +55,6 @@ impl BenchConfig {
                 writer_period_us: 3_000,
                 out: "BENCH_serve.json".to_string(),
                 min_scaling: None,
-                partitions: 0,
-                shard_threads: 0,
-                min_scaling_per_core: None,
             }
         } else {
             BenchConfig {
@@ -77,9 +65,6 @@ impl BenchConfig {
                 writer_period_us: 3_000,
                 out: "BENCH_serve.json".to_string(),
                 min_scaling: None,
-                partitions: 0,
-                shard_threads: 0,
-                min_scaling_per_core: None,
             }
         };
         let mut it = args.iter();
@@ -112,15 +97,6 @@ impl BenchConfig {
                     config.min_scaling =
                         Some(raw.parse().map_err(|_| format!("not a number: {raw:?}"))?);
                 }
-                "--partitions" => config.partitions = parse_num(&value_for("--partitions")?)?,
-                "--shard-threads" => {
-                    config.shard_threads = parse_num(&value_for("--shard-threads")?)?
-                }
-                "--min-scaling-per-core" => {
-                    let raw = value_for("--min-scaling-per-core")?;
-                    config.min_scaling_per_core =
-                        Some(raw.parse().map_err(|_| format!("not a number: {raw:?}"))?);
-                }
                 other => return Err(format!("unknown argument {other:?}")),
             }
         }
@@ -128,26 +104,6 @@ impl BenchConfig {
             return Err("--queries, --duration-ms and --threads must be non-empty".into());
         }
         Ok(config)
-    }
-
-    /// The shard configuration every tier's server runs under, if any —
-    /// either flag alone implies the other (same defaulting as the CLI's
-    /// `--partitions`/`--threads`).
-    fn shard(&self) -> Option<ShardConfig> {
-        if self.partitions == 0 && self.shard_threads == 0 {
-            return None;
-        }
-        let partitions = if self.partitions == 0 {
-            self.shard_threads
-        } else {
-            self.partitions
-        };
-        let threads = if self.shard_threads == 0 {
-            self.partitions
-        } else {
-            self.shard_threads
-        };
-        Some(ShardConfig::new(partitions, threads))
     }
 }
 
@@ -292,13 +248,8 @@ fn run_tier(
     threads: usize,
     duration: Duration,
     writer_period: Duration,
-    shard: Option<ShardConfig>,
 ) -> TierResult {
-    let mut server = Server::new(base_graph.clone(), schema);
-    if let Some(config) = shard {
-        server = server.with_shard_config(config);
-    }
-    let server = Arc::new(server);
+    let server = Arc::new(Server::new(base_graph.clone(), schema));
     let stop = Arc::new(AtomicBool::new(false));
 
     let writer = {
@@ -454,9 +405,8 @@ fn main() {
             eprintln!("bench_serve: {e}");
             eprintln!(
                 "usage: bench_serve [--smoke] [--movies N] [--queries K] [--duration-ms D] \
-                 [--threads 1,2,4,8] [--writer-period-us U] [--partitions P] \
-                 [--shard-threads T] [--out PATH] [--min-scaling X] \
-                 [--min-scaling-per-core X]"
+                 [--threads 1,2,4,8] [--writer-period-us U] [--out PATH] \
+                 [--min-scaling X]"
             );
             std::process::exit(2);
         }
@@ -490,7 +440,6 @@ fn main() {
                 threads,
                 duration,
                 writer_period,
-                config.shard(),
             );
             println!(
                 "{:>2} worker(s): {:>8.0} qps ({} queries, {} commits of {:.1} us avg, \
@@ -557,13 +506,9 @@ fn main() {
         ),
         None => "null".to_string(),
     };
-    let (shard_partitions, shard_threads) = match config.shard() {
-        Some(c) => (c.partitions, c.threads),
-        None => (0, 0),
-    };
     let report = format!(
         "{{\n  \"config\": {{\"movies\": {}, \"queries\": {}, \"duration_ms\": {}, \
-         \"writer_period_us\": {}, \"cores\": {}, \"partitions\": {}, \"threads\": {}}},\n  \"graph\": {{\"nodes\": {}, \"edges\": {}}},\n  \
+         \"writer_period_us\": {}, \"cores\": {}}},\n  \"graph\": {{\"nodes\": {}, \"edges\": {}}},\n  \
          \"tiers\": [\n{}\n  ],\n  \"batch\": {{\"sequential_qps\": {:.0}, \"batch_qps\": {:.0}, \
          \"fragment_cache_hits\": {}}},\n  \"scaling\": {}\n}}\n",
         config.movies,
@@ -571,8 +516,6 @@ fn main() {
         config.duration_ms,
         config.writer_period_us,
         cores,
-        shard_partitions,
-        shard_threads,
         graph.node_count(),
         graph.edge_count(),
         tier_json.join(",\n"),
@@ -599,33 +542,6 @@ fn main() {
             None => {
                 eprintln!(
                     "bench_serve: --min-scaling needs a 1-thread tier and a multi-thread tier"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    if let Some(min) = config.min_scaling_per_core {
-        match scaling {
-            Some((threads, factor)) => {
-                // Normalizing by the readers the machine can actually run
-                // concurrently keeps the gate meaningful on a 1-core CI
-                // runner: there it reduces to "multi-threading costs at
-                // most 1/min of single-thread throughput".
-                let per_core = factor / threads.min(cores).max(1) as f64;
-                if per_core < min {
-                    eprintln!(
-                        "bench_serve: REGRESSION — per-core scaling is {per_core:.2} \
-                         ({threads} readers on {cores} cores, factor {factor:.2}); \
-                         required: {min:.2}"
-                    );
-                    std::process::exit(1);
-                }
-                println!("bench_serve: per-core scaling gate passed ({per_core:.2} >= {min:.2})");
-            }
-            None => {
-                eprintln!(
-                    "bench_serve: --min-scaling-per-core needs a 1-thread tier and a \
-                     multi-thread tier"
                 );
                 std::process::exit(2);
             }
