@@ -43,14 +43,12 @@
 pub mod client;
 pub mod error;
 pub mod frame;
-pub mod histogram;
 pub mod proto;
 pub mod server;
 
 pub use client::{Client, CommitSummary, QueryOutcome};
 pub use error::ClientError;
 pub use frame::{FrameError, DEFAULT_MAX_FRAME_BYTES, MAX_FRAME_BYTES_CEILING};
-pub use histogram::LatencyHistogram;
 pub use proto::{
     AnswerHeader, AnswerKind, DoneFrame, ErrorCode, MatchBinding, QuerySpec, Request, Response,
     SimChunk, WireStats, PROTOCOL_VERSION,

@@ -19,7 +19,6 @@
 //! closes every session socket.
 
 use crate::frame::{read_frame, write_frame, FrameError};
-use crate::histogram::LatencyHistogram;
 use crate::proto::{
     AnswerHeader, AnswerKind, DoneFrame, ErrorCode, MatchBinding, QuerySpec, Request, Response,
     SimChunk, WireStats, PROTOCOL_VERSION,
@@ -27,6 +26,7 @@ use crate::proto::{
 use bgpq_engine::{parse_pattern, BgpqError, BudgetPolicy, QueryAnswer, QueryRequest};
 use bgpq_graph::io::json::Json;
 use bgpq_serve::{Admission, AdmissionGate, GateStats, Server, Update, WorkerPool};
+use bgpq_workload::LatencyHistogram;
 use std::collections::BTreeMap;
 use std::io::{BufReader, BufWriter};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};

@@ -10,9 +10,8 @@
 //! from the *scheduled* arrival, so time spent waiting behind a stall is
 //! charged to the stalled requests.
 //!
-//! [`ArrivalClock`] encapsulates that grid. `bench_net` drives TCP
-//! connections with it and the engine bench drives in-process lanes; both
-//! share the interleaving convention that lane `c` of `C` owns arrivals
+//! [`ArrivalClock`] encapsulates that grid. The bench's open-loop section
+//! drives in-process engine lanes with it, lane `c` of `C` owning arrivals
 //! `c, c + C, c + 2C, …`.
 
 use std::time::{Duration, Instant};

@@ -1,21 +1,17 @@
 //! A log-bucketed latency histogram for cheap streaming percentiles.
 //!
-//! Open-loop benches and the serving front end report p50/p95/p99 without
-//! storing samples: values land in geometric buckets (four sub-buckets per
-//! power of two, so quantiles carry at most ~19% relative error — plenty
-//! for "is p99 one millisecond or one hundred"), recording is two array
-//! index computations and an increment, and the whole histogram is a few
-//! hundred `u64`s. The same structure feeds the `retry_after_ms` hint on
-//! `overloaded` rejections in the net layer: half a typical request's
-//! latency is a sensible back-off.
-//!
-//! This module lives in `bgpq-workload` (it started out in `bgpq-net`) so
-//! the engine bench can use it without depending on the network stack;
-//! `bgpq-net` re-exports it unchanged.
+//! The bench, the serving front end's `stats` reply and
+//! `bgpq query --workload` report p50/p95/p99 without storing samples:
+//! values land in geometric buckets (32 sub-buckets per power of two, so a
+//! quantile overstates the true sample by at most ~3%, enough to tell p95
+//! from p99), recording is two array index computations and an increment,
+//! and the whole histogram is 2048 `u64`s (16 KiB). The same structure
+//! feeds the `retry_after_ms` hint on `overloaded` rejections in the net
+//! layer: half a typical request's latency is a sensible back-off.
 
 /// Sub-bucket resolution: values within one power of two split into
 /// `2^SUB_BITS` buckets.
-const SUB_BITS: u32 = 2;
+const SUB_BITS: u32 = 5;
 const SUBS: usize = 1 << SUB_BITS;
 /// Octaves 0..=63 for `u64` values, `SUBS` buckets each.
 const BUCKETS: usize = 64 * SUBS;
@@ -156,7 +152,7 @@ mod tests {
         for (q, exact) in [(0.5, 5_000.0), (0.95, 9_500.0), (0.99, 9_900.0)] {
             let got = h.quantile(q) as f64;
             assert!(
-                got >= exact && got <= exact * 1.30,
+                got >= exact && got <= exact * 1.04,
                 "q={q}: got {got}, exact {exact}"
             );
         }

@@ -20,8 +20,8 @@
 //!   cycle / tree patterns derived from a discovered access schema, with a
 //!   bounded/unbounded mix and predicate-selectivity targets, all
 //!   deterministic in a seed.
-//! * [`histogram`] — the log-bucketed [`LatencyHistogram`] (moved here from
-//!   `bgpq-net` so the engine bench can use it without a dependency cycle).
+//! * [`histogram`] — the log-bucketed [`LatencyHistogram`] behind every
+//!   reported percentile (bench, `bgpq-net` stats, `bgpq query --workload`).
 //! * [`clock`] — the fixed-interval [`ArrivalClock`] that open-loop benches
 //!   schedule requests with, immune to coordinated omission.
 
